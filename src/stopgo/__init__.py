@@ -33,11 +33,14 @@ from .metrics import (
     over_time_std,
     per_vehicle_std,
     reduction_pct,
+    speed_std_across_vehicles,
+    speed_std_per_vehicle,
 )
 from .ensemble import (
     CompareRow,
     EnsembleCurve,
     EnsembleSpec,
+    build_fleet,
     compare_kinds,
     run_ensemble,
     run_seed_sequence,

@@ -20,18 +20,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import csvio, svg
-from .ensemble import EnsembleSpec, run_ensemble, compare_kinds
+from .ensemble import EnsembleSpec, build_fleet, compare_kinds, run_ensemble
 from .metrics import over_time_std, per_vehicle_std
 from .model import ConfigurationError, ModelParams, VehicleKind
 from .presets import PRESETS, ExperimentConfig, get_preset
-from .scenario import (
-    CollisionError,
-    FleetConfig,
-    OpenRoad,
-    Ring,
-    place_intelligent,
-    run_with_rng,
-)
+from .scenario import CollisionError, OpenRoad, Ring, run_with_rng
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,6 +37,12 @@ OUTDIR_ENV = "STOPGO_OUTDIR"
 
 class ConfigFileError(ValueError):
     pass
+
+
+def _required_float(section: configparser.SectionProxy, key: str, geometry: str) -> float:
+    if key not in section:
+        raise ConfigFileError(f"[scenario] geometry = {geometry} needs {key}")
+    return section.getfloat(key)
 
 
 def _load_config_file(path: str, base: ExperimentConfig) -> ExperimentConfig:
@@ -68,9 +67,9 @@ def _load_config_file(path: str, base: ExperimentConfig) -> ExperimentConfig:
             if s.get("geometry", None):
                 g = s["geometry"].strip().lower()
                 if g == "ring":
-                    geometry = Ring(length=s.getfloat("length"))
+                    geometry = Ring(length=_required_float(s, "length", g))
                 elif g == "open":
-                    geometry = OpenRoad(leader_speed=s.getfloat("leader_speed"))
+                    geometry = OpenRoad(leader_speed=_required_float(s, "leader_speed", g))
                 else:
                     raise ConfigFileError(f"geometry must be 'open' or 'ring', got {g!r}")
             elif isinstance(geometry, Ring) and "length" in s:
@@ -163,12 +162,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     out = _outdir(args)
     rng = np.random.default_rng(cfg.seed)
-    if cfg.fixed_position is not None:
-        kinds = [VehicleKind.HV] * cfg.n_vehicles
-        kinds[cfg.fixed_position] = cfg.kind
-    else:
-        kinds = place_intelligent(cfg.n_vehicles, cfg.mpr, cfg.kind, rng)
-    fleet = FleetConfig(kinds=kinds, initial_spacing=cfg.initial_spacing)
+    fleet = build_fleet(_to_spec(cfg), rng)
     record = run_with_rng(cfg.geometry, fleet, cfg.params, rng, cfg.n_steps)
 
     stem = f"{cfg.name}_seed{cfg.seed}"

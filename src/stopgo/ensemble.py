@@ -2,7 +2,8 @@
 
 Every run derives its own seed from (master_seed, run_index), so results are
 bit-identical no matter how runs are scheduled or how many workers execute
-them.
+them. Runs are stepped in chunks, each chunk as one batch of the scenario
+kernel; a process pool shards chunks, not runs.
 """
 from __future__ import annotations
 
@@ -12,12 +13,18 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import over_time_std, per_vehicle_std, reduction_pct
+from .metrics import reduction_pct, speed_std_across_vehicles, speed_std_per_vehicle
 from .model import ConfigurationError, ModelParams, VehicleKind
 from .scenario import FleetConfig, Geometry, place_intelligent, run_with_rng
 
 METRIC_PER_VEHICLE = "per_vehicle"
 METRIC_OVER_TIME = "over_time"
+
+# Bytes of speed history one chunk may hold; a whole fig4 ensemble of 250
+# runs would hold 160 MB. 3 MiB holds 4 fig4 runs (0.64 MB each) or one
+# fig6 ring run (1.9 MB), no more than a lone run's speeds and positions.
+# Two ring runs per chunk raised the ensembles benchmark's peak memory by 5%.
+CHUNK_BYTES = 3 * 2**20
 
 
 @dataclass(frozen=True)
@@ -44,6 +51,10 @@ class EnsembleSpec:
             raise ConfigurationError(f"mpr must be in [0, 1], got {self.mpr}")
         if self.metric not in (METRIC_PER_VEHICLE, METRIC_OVER_TIME):
             raise ConfigurationError(f"unknown metric {self.metric!r}")
+        if self.fixed_position is not None and not 0 <= self.fixed_position < self.n_vehicles:
+            raise ConfigurationError(
+                f"fixed_position must be in [0, {self.n_vehicles - 1}], got {self.fixed_position}"
+            )
 
 
 @dataclass
@@ -61,28 +72,56 @@ def run_seed_sequence(master_seed: int, run_index: int) -> np.random.SeedSequenc
     return np.random.SeedSequence(master_seed, spawn_key=(run_index,))
 
 
-def _single_run_curve(spec: EnsembleSpec, run_index: int) -> np.ndarray:
-    rng = np.random.default_rng(run_seed_sequence(spec.master_seed, run_index))
+def build_fleet(spec: EnsembleSpec, rng: np.random.Generator) -> FleetConfig:
+    """One run's fleet: the equipped vehicle pinned at spec.fixed_position, or
+    round(mpr * N) of them at positions drawn from rng."""
     if spec.fixed_position is not None:
         kinds = [VehicleKind.HV] * spec.n_vehicles
         kinds[spec.fixed_position] = spec.kind
     else:
         kinds = place_intelligent(spec.n_vehicles, spec.mpr, spec.kind, rng)
-    fleet = FleetConfig(kinds=kinds, initial_spacing=spec.initial_spacing)
-    record = run_with_rng(spec.geometry, fleet, spec.params, rng, spec.n_steps)
-    if spec.metric == METRIC_PER_VEHICLE:
-        return per_vehicle_std(record, spec.window).values
-    return over_time_std(record).values
+    return FleetConfig(kinds=kinds, initial_spacing=spec.initial_spacing)
+
+
+def _run_bytes(spec: EnsembleSpec) -> int:
+    return 8 * (spec.n_steps + 1) * spec.n_vehicles
+
+
+def _chunk_size(spec: EnsembleSpec, n_workers: int) -> int:
+    """Runs per chunk: at least one chunk per worker, none over the byte cap,
+    and chunk sizes as even as that allows."""
+    cap = max(1, CHUNK_BYTES // _run_bytes(spec))
+    n_chunks = max(max(1, n_workers), -(-spec.n_runs // cap))
+    return -(-spec.n_runs // n_chunks)
+
+
+def _chunk_curves(spec: EnsembleSpec, start: int, stop: int) -> np.ndarray:
+    """Metric curves of runs start..stop-1, one row each, stepped as one batch."""
+    rngs = [
+        np.random.default_rng(run_seed_sequence(spec.master_seed, r))
+        for r in range(start, stop)
+    ]
+    fleets = [build_fleet(spec, rng) for rng in rngs]  # placement draws precede the noise
+    record = run_with_rng(spec.geometry, fleets, spec.params, rngs, spec.n_steps)
+    runs = np.hsplit(record.speeds, len(rngs))
+    if spec.metric == METRIC_OVER_TIME:
+        return np.stack([speed_std_across_vehicles(speeds) for speeds in runs])
+    return np.stack([
+        speed_std_per_vehicle(speeds, spec.params.tau, spec.window).values for speeds in runs
+    ])
 
 
 def run_ensemble(spec: EnsembleSpec, n_workers: int = 1) -> EnsembleCurve:
     """Run all seeds, then aggregate curves pointwise (mean of per-run stds)."""
+    size = _chunk_size(spec, n_workers)
+    starts = range(0, spec.n_runs, size)
+    stops = [min(start + size, spec.n_runs) for start in starts]
     if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            curves = list(pool.map(_single_run_curve, [spec] * spec.n_runs, range(spec.n_runs)))
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
+            chunks = list(pool.map(_chunk_curves, [spec] * len(starts), starts, stops))
     else:
-        curves = [_single_run_curve(spec, i) for i in range(spec.n_runs)]
-    stacked = np.stack(curves)
+        chunks = [_chunk_curves(spec, start, stop) for start, stop in zip(starts, stops)]
+    stacked = np.concatenate(chunks)
     mean = stacked.mean(axis=0)
     if spec.n_runs == 1:
         stderr = np.zeros_like(mean)

@@ -9,6 +9,9 @@ import numpy as np
 from .scenario import RunRecord
 
 
+_ROW_BLOCK = 64
+
+
 class MetricError(ValueError):
     """Metric preconditions violated (window too short, degenerate data)."""
 
@@ -34,31 +37,55 @@ class OverTimeStdCurve:
 
 def default_window(record: RunRecord) -> Tuple[float, float]:
     """Measurement window skipping a warm-up of N * tau seconds."""
-    return (record.n_vehicles * record.dt, record.duration)
+    return _default_window(record.speeds, record.dt)
+
+
+def _default_window(speeds: np.ndarray, dt: float) -> Tuple[float, float]:
+    return (speeds.shape[1] * dt, (speeds.shape[0] - 1) * dt)
 
 
 def per_vehicle_std(
     record: RunRecord, window: Optional[Tuple[float, float]] = None
 ) -> PerVehicleStdCurve:
     """Sample std (ddof=1) of each vehicle's speed series within the window."""
+    return speed_std_per_vehicle(record.speeds, record.dt, window)
+
+
+def speed_std_per_vehicle(
+    speeds: np.ndarray, dt: float, window: Optional[Tuple[float, float]] = None
+) -> PerVehicleStdCurve:
+    """per_vehicle_std of a bare (n_steps + 1, N) speed history sampled every dt."""
     if window is None:
-        window = default_window(record)
+        window = _default_window(speeds, dt)
     t_start, t_end = window
-    times = record.times
-    mask = (times >= t_start) & (times <= t_end)
-    if mask.sum() < 2:
+    times = np.arange(speeds.shape[0]) * dt
+    inside = np.flatnonzero((times >= t_start) & (times <= t_end))
+    if inside.size < 2:
         raise MetricError(
-            f"window [{t_start}, {t_end}] s contains {int(mask.sum())} samples; need >= 2"
+            f"window [{t_start}, {t_end}] s contains {inside.size} samples; need >= 2"
         )
-    values = record.speeds[mask].std(axis=0, ddof=1)
+    # times increase, so the window is one slice of rows: a view, not a copy
+    values = speeds[inside[0] : inside[-1] + 1].std(axis=0, ddof=1)
     return PerVehicleStdCurve(values=values, window=(t_start, t_end))
 
 
 def over_time_std(record: RunRecord) -> OverTimeStdCurve:
     """Sample std (ddof=1) of the speed across vehicles at each step."""
-    if record.n_vehicles < 2:
+    return OverTimeStdCurve(values=speed_std_across_vehicles(record.speeds))
+
+
+def speed_std_across_vehicles(speeds: np.ndarray) -> np.ndarray:
+    """Sample std (ddof=1) of each row of a (samples, N) speed history.
+
+    Rows are reduced a block at a time, which bounds the temporaries to a
+    block instead of a copy of the whole history.
+    """
+    if speeds.shape[1] < 2:
         raise MetricError("over_time_std needs at least 2 vehicles")
-    return OverTimeStdCurve(values=record.speeds.std(axis=1, ddof=1))
+    return np.concatenate([
+        speeds[i : i + _ROW_BLOCK].std(axis=1, ddof=1)
+        for i in range(0, speeds.shape[0], _ROW_BLOCK)
+    ])
 
 
 def reduction_pct(baseline: float, treated: float) -> float:

@@ -5,6 +5,7 @@ applies the same math vectorized over a fleet.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -59,6 +60,10 @@ class ModelParams:
     sigma_hat: float = 0.25
 
     def __post_init__(self):
+        for name in ("u0", "s_j", "tau", "sigma_hat"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.u0 <= 0:
             raise ConfigurationError(f"u0 must be > 0, got {self.u0}")
         if self.s_j <= 0:

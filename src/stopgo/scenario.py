@@ -5,12 +5,17 @@ spacings, and spacings evolve as s(t+dt) = s(t) + (v_ahead - v_own) * dt.
 Integrating spacings directly (rather than differencing positions) keeps the
 equilibrium an exact floating-point fixed point. Unwrapped odometer positions
 are integrated alongside for trajectory output.
+
+One kernel steps R independent runs of equal fleet size together as (R, N)
+arrays: a chunk of Monte Carlo runs is one batch, and a single run or a
+single step is a batch of one.
 """
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from functools import cached_property
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -24,6 +29,10 @@ class CollisionError(RuntimeError):
         self.t = t
         self.vehicle = vehicle
         super().__init__(f"collision at t={t:.1f} s: vehicle {vehicle} spacing < 0")
+
+    def __reduce__(self):
+        # rebuild from (t, vehicle), so the error crosses a process pool intact
+        return (CollisionError, (self.t, self.vehicle))
 
 
 @dataclass(frozen=True)
@@ -78,18 +87,41 @@ class ScenarioState:
 
 @dataclass
 class RunRecord:
-    """Full history of one run: row 0 is the initial state.
+    """Full history of one run, or of R runs side by side: row 0 is the initial state.
 
-    speeds/positions have shape (n_steps + 1, N). The open-road leader is kept
-    separately so metrics never see it.
+    speeds has shape (n_steps + 1, N). A batch of R runs (see run_with_rng)
+    lays them side by side: np.hsplit(speeds, R)[r] is run r, and metrics
+    apply to one run at a time. Positions are derived from the speeds on
+    first use. The open-road leader is kept separately so metrics never see it.
     """
 
     dt: float
     speeds: np.ndarray
-    positions: np.ndarray
+    start_positions: np.ndarray
     kinds: Tuple[VehicleKind, ...]
     geometry: Geometry
-    leader_positions: Optional[np.ndarray] = None
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        """Unwrapped odometers, same shape as speeds.
+
+        A running sum adds in order, so positions[i] is exactly
+        positions[i - 1] + speeds[i] * dt, as a step-by-step integration gives.
+        """
+        increments = self.speeds * self.dt
+        increments[0] = self.start_positions
+        return np.cumsum(increments, axis=0)
+
+    @cached_property
+    def leader_positions(self) -> Optional[np.ndarray]:
+        """Open road only: the leader, at the origin at t = 0."""
+        if not isinstance(self.geometry, OpenRoad):
+            return None
+        # time accumulated step by step, as the kernel does; multiply rather
+        # than accumulate positions: the leader trajectory is exactly linear
+        t = np.full(self.speeds.shape[0], self.dt)
+        t[0] = 0.0
+        return self.geometry.leader_speed * np.cumsum(t)
 
     @property
     def n_vehicles(self) -> int:
@@ -157,77 +189,117 @@ def init_scenario(
     return ScenarioState(0.0, spacings, speeds, positions, leader_position=0.0)
 
 
-class _FleetMasks:
-    """Kind-derived arrays reused across steps of one run."""
+# Steps of noise drawn per generator call. Drawing a (NOISE_BLOCK, N) block
+# gives the same numbers as NOISE_BLOCK draws of N, and bounds the noise
+# buffer of a batch to (R, NOISE_BLOCK, N) whatever the horizon.
+NOISE_BLOCK = 64
 
-    def __init__(self, kinds: Sequence[VehicleKind], params: ModelParams):
-        self.kinds = tuple(kinds)
-        self.sigma = np.array(
-            [params.sigma_hat if k.is_noisy else 0.0 for k in kinds]
-        )
+
+class _FleetArrays:
+    """Kind-derived (R, N) arrays of R fleets of equal size, reused across steps.
+
+    The partially connected vehicles are gathered by index, so that each
+    run's PC mean sums the same spacings in the same order as a lone run
+    would; this needs every fleet to have as many of them.
+    """
+
+    def __init__(self, kinds_by_run: Sequence[Sequence[VehicleKind]], params: ModelParams):
+        kinds = np.array(kinds_by_run, dtype=object)
+
+        def flags(test) -> np.ndarray:
+            return np.logical_or.reduce([kinds == k for k in VehicleKind if test(k)])
+
+        self.sigma = np.where(flags(lambda k: k.is_noisy), params.sigma_hat, 0.0)
         self.any_noise = bool(self.sigma.any())
-        self.mav = np.array([k is VehicleKind.MAV for k in kinds])
-        self.pc = np.array([k.is_partially_connected for k in kinds])
-        self.fc = np.array([k.is_fully_connected for k in kinds])
+        mav = flags(lambda k: k is VehicleKind.MAV)
+        self.mav = mav if mav.any() else None
+        pc = flags(lambda k: k.is_partially_connected)
+        self.pc_at = None  # (rows, columns) index of the PC vehicles, one row per run
+        if pc.any():
+            counts = pc.sum(axis=1)
+            if np.any(counts != counts[0]):
+                raise ConfigurationError(
+                    "fleets stepped together must have equally many partially "
+                    f"connected vehicles, got {sorted(set(counts.tolist()))}"
+                )
+            n_runs = pc.shape[0]
+            self.pc_at = (np.arange(n_runs)[:, None], np.nonzero(pc)[1].reshape(n_runs, -1))
+        fc = flags(lambda k: k.is_fully_connected)
+        self.fc = fc if fc.any() else None
 
 
-def _advance(
-    state: ScenarioState,
+def _shift(x: np.ndarray, first) -> np.ndarray:
+    """Column i holds x[:, i - 1], the value of the vehicle ahead; column 0 holds first."""
+    out = np.empty_like(x)
+    out[:, 1:] = x[:, :-1]
+    out[:, 0] = first
+    return out
+
+
+def _steps(
     geometry: Geometry,
-    masks: _FleetMasks,
+    fleets: _FleetArrays,
     params: ModelParams,
-    rng: np.random.Generator,
-) -> ScenarioState:
-    """One synchronous update: every context reads the time-t spacings."""
-    spac = state.spacings
-    n = spac.shape[0]
+    spacings: np.ndarray,
+    t: float,
+    rngs: Sequence[np.random.Generator],
+    n_steps: int,
+) -> Iterator[Tuple[float, np.ndarray, np.ndarray]]:
+    """The stepping kernel: advance R runs together, n_steps synchronous updates.
 
-    s_d = spac
-    if masks.mav.any():
-        s_d = spac.copy()
-        leader_spac = np.roll(spac, 1)
-        if isinstance(geometry, OpenRoad):
-            # follower 0 sits behind the deterministic leader and has no
-            # second spacing to average; it falls back to AV behavior
-            leader_spac[0] = spac[0]
-        s_d[masks.mav] = 0.5 * (spac[masks.mav] + leader_spac[masks.mav])
-    if masks.pc.any():
-        if s_d is spac:
-            s_d = spac.copy()
-        s_d[masks.pc] = spac[masks.pc].mean()
-    if masks.fc.any():
-        if s_d is spac:
-            s_d = spac.copy()
-        if isinstance(geometry, Ring):
-            s_d[masks.fc] = geometry.length / n
-        else:
-            s_d[masks.fc] = spac.mean()
-
-    v = np.minimum(params.u0, (s_d - params.s_j) / params.tau)
-    z = rng.standard_normal(n)
-    if masks.any_noise:
-        v = v + masks.sigma * z
-    np.clip(v, 0.0, params.u0, out=v)
-
+    spacings is (R, N); run r draws its noise from rngs[r], N normals per
+    step whether or not any vehicle is noisy. Yields (t, spacings, speeds)
+    after each update; every context reads the time-t spacings. A run whose
+    spacing goes negative keeps stepping. Once every run has collided, or
+    after the last step, the CollisionError of the lowest-index collided run
+    is raised, the one a run-by-run loop would have hit first.
+    """
+    n_runs, n = spacings.shape
     dt = params.tau
-    if isinstance(geometry, Ring):
-        v_ahead = np.roll(v, 1)
-    else:
-        v_ahead = np.empty(n)
-        v_ahead[0] = geometry.leader_speed
-        v_ahead[1:] = v[:-1]
+    ring = isinstance(geometry, Ring)
+    spac = spacings
+    collisions: List[Optional[CollisionError]] = [None] * n_runs
+    noise = np.empty((n_runs, min(NOISE_BLOCK, n_steps), n))
+    for i in range(n_steps):
+        j = i % NOISE_BLOCK
+        if j == 0:
+            rows = min(NOISE_BLOCK, n_steps - i)
+            for r, rng in enumerate(rngs):
+                rng.standard_normal(out=noise[r, :rows])
 
-    new_spac = spac + (v_ahead - v) * dt
-    if np.any(new_spac < 0.0):
-        raise CollisionError(state.t + dt, int(np.argmin(new_spac)))
+        s_d = spac
+        if fleets.mav is not None:
+            # on the open road follower 0 sits behind the deterministic leader
+            # and has no second spacing to average; it falls back to AV behavior
+            leader_spac = _shift(spac, spac[:, -1] if ring else spac[:, 0])
+            s_d = np.where(fleets.mav, 0.5 * (spac + leader_spac), spac)
+        if fleets.pc_at is not None:
+            if s_d is spac:
+                s_d = spac.copy()
+            s_d[fleets.pc_at] = spac[fleets.pc_at].mean(axis=1, keepdims=True)
+        if fleets.fc is not None:
+            mean_spacing = geometry.length / n if ring else spac.mean(axis=1, keepdims=True)
+            s_d = np.where(fleets.fc, mean_spacing, s_d)
 
-    new_t = state.t + dt
-    new_pos = state.positions + v * dt
-    leader_pos = None
-    if isinstance(geometry, OpenRoad):
-        # multiply rather than accumulate: the leader trajectory is exactly linear
-        leader_pos = geometry.leader_speed * new_t
-    return ScenarioState(new_t, new_spac, v, new_pos, leader_pos)
+        v = np.minimum(params.u0, (s_d - params.s_j) / params.tau)
+        if fleets.any_noise:
+            v = v + fleets.sigma * noise[:, j]
+        np.clip(v, 0.0, params.u0, out=v)
+
+        v_ahead = _shift(v, v[:, -1] if ring else geometry.leader_speed)
+        spac = spac + (v_ahead - v) * dt
+        t = t + dt
+        crashed = spac < 0.0
+        if crashed.any():
+            for r in np.flatnonzero(crashed.any(axis=1)):
+                if collisions[r] is None:
+                    collisions[r] = CollisionError(t, int(np.argmin(spac[r])))
+            if all(c is not None for c in collisions):
+                break
+        yield t, spac, v
+    for collision in collisions:
+        if collision is not None:
+            raise collision
 
 
 def step(
@@ -238,46 +310,59 @@ def step(
     rng: np.random.Generator,
 ) -> ScenarioState:
     """Advance the whole fleet by one interval of length tau."""
-    return _advance(state, geometry, _FleetMasks(fleet.kinds, params), params, rng)
+    fleets = _FleetArrays([fleet.kinds], params)
+    ((t, spacings, speeds),) = _steps(
+        geometry, fleets, params, state.spacings[None, :], state.t, [rng], 1
+    )
+    leader_pos = None
+    if isinstance(geometry, OpenRoad):
+        leader_pos = geometry.leader_speed * t
+    return ScenarioState(
+        t, spacings[0], speeds[0], state.positions + speeds[0] * params.tau, leader_pos
+    )
 
 
 def run_with_rng(
     geometry: Geometry,
-    fleet: FleetConfig,
+    fleet: Union[FleetConfig, Sequence[FleetConfig]],
     params: ModelParams,
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, Sequence[np.random.Generator]],
     n_steps: int,
 ) -> RunRecord:
-    """Simulate n_steps updates, drawing noise from the given generator."""
+    """Simulate n_steps updates, drawing noise from the given generator.
+
+    Given a sequence of R fleets and as many generators, the runs are
+    stepped together and recorded side by side; run r draws its noise from
+    rng[r] and records exactly the speeds it would record alone. The fleets
+    must share size and initial spacing and have equally many partially
+    connected vehicles. If runs collide, the CollisionError of the
+    lowest-index one is raised.
+    """
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
-    state = init_scenario(geometry, fleet, params)
-    masks = _FleetMasks(fleet.kinds, params)
-    n = fleet.n_vehicles
+    fleets = [fleet] if isinstance(fleet, FleetConfig) else list(fleet)
+    rngs = [rng] if isinstance(rng, np.random.Generator) else list(rng)
+    if len({(f.n_vehicles, f.initial_spacing) for f in fleets}) != 1:
+        raise ConfigurationError("fleets stepped together must share size and initial spacing")
+    if len(rngs) != len(fleets):
+        raise ConfigurationError(f"{len(fleets)} fleets need as many generators, got {len(rngs)}")
+    state = init_scenario(geometry, fleets[0], params)
+    n_runs = len(fleets)
 
-    speeds = np.empty((n_steps + 1, n))
-    positions = np.empty((n_steps + 1, n))
-    speeds[0] = state.speeds
-    positions[0] = state.positions
-    leader = None
-    if isinstance(geometry, OpenRoad):
-        leader = np.empty(n_steps + 1)
-        leader[0] = state.leader_position
-
-    for i in range(1, n_steps + 1):
-        state = _advance(state, geometry, masks, params, rng)
-        speeds[i] = state.speeds
-        positions[i] = state.positions
-        if leader is not None:
-            leader[i] = state.leader_position
+    speeds = np.empty((n_steps + 1, n_runs * fleets[0].n_vehicles))
+    speeds[0] = np.tile(state.speeds, n_runs)
+    arrays = _FleetArrays([f.kinds for f in fleets], params)
+    spacings = np.tile(state.spacings, (n_runs, 1))
+    kernel = _steps(geometry, arrays, params, spacings, state.t, rngs, n_steps)
+    for i, (_, _, v) in enumerate(kernel, start=1):
+        speeds[i] = v.ravel()
 
     return RunRecord(
         dt=params.tau,
         speeds=speeds,
-        positions=positions,
-        kinds=masks.kinds,
+        start_positions=np.tile(state.positions, n_runs),
+        kinds=tuple(k for f in fleets for k in f.kinds),
         geometry=geometry,
-        leader_positions=leader,
     )
 
 

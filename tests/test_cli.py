@@ -167,3 +167,47 @@ def test_empty_curve_writes_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     csvio.write_curve_csv(curve, path)
     assert path.read_text().strip() == "index,mean_std,stderr"
+
+
+@pytest.mark.parametrize("command", ["run", "mcs"])
+@pytest.mark.parametrize("position", [500, -1])
+def test_fixed_position_out_of_range_exit_code(tmp_path, capsys, command, position):
+    cfg = tmp_path / "pin.ini"
+    cfg.write_text(f"[ensemble]\nfixed_position = {position}\n")
+    rc = main([command, "--preset", "fig2", "--config", str(cfg), "--steps", "10",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: fixed_position must be in [0, 99], got {position}\n"
+
+
+@pytest.mark.parametrize("geometry, needed", [("ring", "length"), ("open", "leader_speed")])
+def test_geometry_without_its_field_exit_code(tmp_path, capsys, geometry, needed):
+    cfg = tmp_path / "geom.ini"
+    cfg.write_text(f"[scenario]\ngeometry = {geometry}\nn_vehicles = 50\n")
+    rc = main(["run", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: [scenario] geometry = {geometry} needs {needed}\n"
+    )
+
+
+def test_non_finite_model_parameter_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text("[model]\ntau = nan\n")
+    rc = main(["mcs", "--preset", "fig3b", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_CONFIG
+    assert "tau must be finite" in capsys.readouterr().err
+
+
+def test_collision_in_pool_worker_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "crash.ini"
+    cfg.write_text(
+        "[model]\nsigma_hat = 50\n"
+        "[scenario]\ngeometry = open\nleader_speed = 0\n"
+        "n_vehicles = 3\ninitial_spacing = 8\nn_steps = 50\n"
+    )
+    rc = main(["mcs", "--config", str(cfg), "--runs", "4", "--workers", "2",
+               "--seed", "2", "--out", str(tmp_path)])
+    assert rc == EXIT_COLLISION
+    assert capsys.readouterr().err.startswith("error: collision at t=")

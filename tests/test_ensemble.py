@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
+from stopgo import ensemble
 from stopgo.ensemble import (
     CompareRow,
     EnsembleSpec,
-    _single_run_curve,
+    build_fleet,
     compare_kinds,
     run_ensemble,
     run_seed_sequence,
 )
+from stopgo.metrics import over_time_std, per_vehicle_std
 from stopgo.model import ConfigurationError, ModelParams, VehicleKind
-from stopgo.scenario import OpenRoad, Ring
+from stopgo.scenario import CollisionError, OpenRoad, Ring, run_with_rng
 
 K = VehicleKind
 LEADER_22 = (22.0 - 7.5) / 1.5
@@ -33,6 +35,22 @@ def small_spec(**overrides):
     return EnsembleSpec(**base)
 
 
+def per_run_curve(spec, run_index):
+    """One run's curve through the public single-run path."""
+    rng = np.random.default_rng(run_seed_sequence(spec.master_seed, run_index))
+    record = run_with_rng(spec.geometry, build_fleet(spec, rng), spec.params, rng, spec.n_steps)
+    if spec.metric == "per_vehicle":
+        return per_vehicle_std(record, spec.window).values
+    return over_time_std(record).values
+
+
+def cap_chunks_at(monkeypatch, spec, runs):
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", runs * ensemble._run_bytes(spec))
+
+
+RING_30 = dict(geometry=Ring(30 * 25.0), initial_spacing=None, window=None)
+
+
 class TestSeeds:
     def test_per_run_seeds_distinct(self):
         firsts = {
@@ -51,14 +69,33 @@ class TestRunEnsemble:
     def test_single_run_mean_is_curve_and_zero_stderr(self):
         spec = small_spec(n_runs=1)
         curve = run_ensemble(spec)
-        assert np.array_equal(curve.mean, _single_run_curve(spec, 0))
+        assert np.array_equal(curve.mean, per_run_curve(spec, 0))
         assert np.all(curve.stderr == 0.0)
 
     def test_mean_is_average_of_run_curves(self):
         spec = small_spec(n_runs=3)
         curve = run_ensemble(spec)
-        expected = np.mean([_single_run_curve(spec, i) for i in range(3)], axis=0)
+        expected = np.mean([per_run_curve(spec, i) for i in range(3)], axis=0)
         assert np.array_equal(curve.mean, expected)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(),
+        dict(mpr=0.1, kind=K.MAV),
+        dict(mpr=0.1, kind=K.PCV),
+        dict(mpr=0.5, kind=K.PCAV),  # 15 PC vehicles: pairwise summation in the mean
+        dict(mpr=0.1, kind=K.FCAV),
+        dict(mpr=0.1, kind=K.FCV, window=None),
+        dict(mpr=0.1, kind=K.MAV, metric="over_time", **RING_30),
+        dict(mpr=0.1, kind=K.FCV, metric="over_time", **RING_30),
+        dict(mpr=0.01, kind=K.PCAV, fixed_position=4, metric="over_time", **RING_30),
+    ])
+    def test_batched_curves_equal_per_run_curves(self, overrides, monkeypatch):
+        spec = small_spec(n_runs=7, **overrides)
+        cap_chunks_at(monkeypatch, spec, 3)  # chunks of 3, 3 and 1 runs
+        curve = run_ensemble(spec)
+        runs = np.stack([per_run_curve(spec, i) for i in range(7)])
+        assert np.array_equal(curve.mean, runs.mean(axis=0))
+        assert np.array_equal(curve.stderr, runs.std(axis=0, ddof=1) / np.sqrt(7))
 
     def test_reproducible(self):
         spec = small_spec()
@@ -67,12 +104,35 @@ class TestRunEnsemble:
         assert np.array_equal(a.mean, b.mean)
         assert np.array_equal(a.stderr, b.stderr)
 
-    def test_worker_count_does_not_change_result(self):
-        spec = small_spec(n_runs=4)
-        serial = run_ensemble(spec, n_workers=1)
-        parallel = run_ensemble(spec, n_workers=2)
-        assert np.array_equal(serial.mean, parallel.mean)
-        assert np.array_equal(serial.stderr, parallel.stderr)
+    def test_worker_count_does_not_change_result(self, monkeypatch):
+        for metric, geometry in [("per_vehicle", {}), ("over_time", RING_30)]:
+            for n_runs in (3, 10):  # below and above the cap of 4 runs per chunk
+                spec = small_spec(n_runs=n_runs, mpr=0.1, kind=K.MAV, metric=metric, **geometry)
+                cap_chunks_at(monkeypatch, spec, 4)
+                serial = run_ensemble(spec, n_workers=1)
+                for n_workers in (2, 3):
+                    parallel = run_ensemble(spec, n_workers=n_workers)
+                    assert np.array_equal(serial.mean, parallel.mean)
+                    assert np.array_equal(serial.stderr, parallel.stderr)
+
+    def test_chunk_size_is_bounded(self):
+        spec = small_spec(n_runs=250, n_vehicles=200, n_steps=400)
+        size = ensemble._chunk_size(spec, 1)
+        assert 1 <= size < 250
+        assert size * ensemble._run_bytes(spec) <= ensemble.CHUNK_BYTES
+        assert ensemble._chunk_size(small_spec(n_runs=5), 2) == 3
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_collision_of_lowest_run_index_is_raised(self, n_workers, monkeypatch):
+        # run 0 collides at t=33.0 s, run 1 earlier, at t=12.0 s
+        spec = small_spec(
+            n_vehicles=6, n_runs=6, n_steps=40, master_seed=16, window=(0.0, 60.0),
+            initial_spacing=12.0, geometry=OpenRoad(5.0), params=ModelParams(sigma_hat=2.0),
+        )
+        cap_chunks_at(monkeypatch, spec, 2)
+        with pytest.raises(CollisionError) as err:
+            run_ensemble(spec, n_workers=n_workers)
+        assert (err.value.t, err.value.vehicle) == (33.0, 3)
 
     def test_two_master_seeds_statistically_consistent(self):
         # all-HV baseline: different master seeds estimate the same curve
@@ -102,6 +162,11 @@ class TestRunEnsemble:
             small_spec(mpr=2.0)
         with pytest.raises(ConfigurationError):
             small_spec(metric="nope")
+
+    @pytest.mark.parametrize("position", [-1, 30, 500])
+    def test_fixed_position_out_of_range_rejected(self, position):
+        with pytest.raises(ConfigurationError, match="fixed_position"):
+            small_spec(mpr=0.01, kind=K.FCAV, fixed_position=position)
 
 
 class TestCompareKinds:

@@ -20,7 +20,7 @@ def make_record(speeds, dt=1.5):
     return RunRecord(
         dt=dt,
         speeds=speeds,
-        positions=np.zeros_like(speeds),
+        start_positions=np.zeros(n),
         kinds=tuple([K.HV] * n),
         geometry=Ring(1e6),
     )

@@ -35,6 +35,12 @@ class TestModelParams:
         with pytest.raises(ConfigurationError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("name", ["u0", "s_j", "tau", "sigma_hat"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+            ModelParams(**{name: value})
+
 
 class TestEquilibriumSpeed:
     def test_spacing_22(self):

@@ -17,6 +17,7 @@ from stopgo.scenario import (
     init_scenario,
     place_intelligent,
     run,
+    run_with_rng,
     step,
 )
 
@@ -182,6 +183,32 @@ class TestRun:
         assert record.n_steps == 60
         assert record.duration == pytest.approx(90.0)
         assert np.all((record.speeds >= 0) & (record.speeds <= 25.0))
+
+
+class TestBatch:
+    @pytest.mark.parametrize("geometry, spacing", [(Ring(40 * 25.0), None), (OpenRoad(LEADER_22), 22.0)])
+    def test_batch_equals_runs_side_by_side(self, geometry, spacing):
+        # every fleet mixes all kinds, two of them partially connected
+        base = [K.HV] * 33 + [K.AV, K.MAV, K.PCV, K.PCAV, K.FCV, K.FCAV, K.MAV]
+        fleets = [
+            FleetConfig([base[i] for i in np.random.default_rng(s).permutation(40)], spacing)
+            for s in range(3)
+        ]
+        batch = run_with_rng(geometry, fleets, DEFAULT,
+                             [np.random.default_rng(10 + r) for r in range(3)], 90)
+        assert batch.speeds.shape == (91, 120)
+        for r, (speeds, positions) in enumerate(
+            zip(np.hsplit(batch.speeds, 3), np.hsplit(batch.positions, 3))
+        ):
+            alone = run(geometry, fleets[r], DEFAULT, 10 + r, 90)
+            assert np.array_equal(speeds, alone.speeds)
+            assert np.array_equal(positions, alone.positions)
+
+    def test_unequal_connected_counts_rejected(self):
+        fleets = [FleetConfig([K.PCAV, K.HV, K.HV]), FleetConfig([K.PCAV, K.PCAV, K.HV])]
+        rngs = [np.random.default_rng(0), np.random.default_rng(1)]
+        with pytest.raises(ConfigurationError, match="partially connected"):
+            run_with_rng(Ring(90.0), fleets, DEFAULT, rngs, 5)
 
 
 class TestPlaceIntelligent:
