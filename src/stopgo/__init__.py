@@ -33,8 +33,6 @@ from .metrics import (
     over_time_std,
     per_vehicle_std,
     reduction_pct,
-    speed_std_across_vehicles,
-    speed_std_per_vehicle,
 )
 from .ensemble import (
     CompareRow,

@@ -189,10 +189,10 @@ def init_scenario(
     return ScenarioState(0.0, spacings, speeds, positions, leader_position=0.0)
 
 
-# Steps of noise drawn per generator call. Drawing a (NOISE_BLOCK, N) block
-# gives the same numbers as NOISE_BLOCK draws of N, and bounds the noise
-# buffer of a batch to (R, NOISE_BLOCK, N) whatever the horizon.
-NOISE_BLOCK = 64
+# Steps of noise drawn per generator call. A (block, N) draw gives the same
+# numbers as block draws of N, and the buffer of a batch stays (R, block, N)
+# whatever the horizon.
+_NOISE_BLOCK = 64
 
 
 class _FleetArrays:
@@ -259,11 +259,11 @@ def _steps(
     ring = isinstance(geometry, Ring)
     spac = spacings
     collisions: List[Optional[CollisionError]] = [None] * n_runs
-    noise = np.empty((n_runs, min(NOISE_BLOCK, n_steps), n))
+    noise = np.empty((n_runs, min(_NOISE_BLOCK, n_steps), n))
     for i in range(n_steps):
-        j = i % NOISE_BLOCK
+        j = i % _NOISE_BLOCK
         if j == 0:
-            rows = min(NOISE_BLOCK, n_steps - i)
+            rows = min(_NOISE_BLOCK, n_steps - i)
             for r, rng in enumerate(rngs):
                 rng.standard_normal(out=noise[r, :rows])
 

@@ -82,7 +82,7 @@ class TestRunEnsemble:
         dict(),
         dict(mpr=0.1, kind=K.MAV),
         dict(mpr=0.1, kind=K.PCV),
-        dict(mpr=0.5, kind=K.PCAV),  # 15 PC vehicles: pairwise summation in the mean
+        dict(mpr=0.5, kind=K.PCAV),  # 15 PC vehicles: numpy sums them 8-way unrolled
         dict(mpr=0.1, kind=K.FCAV),
         dict(mpr=0.1, kind=K.FCV, window=None),
         dict(mpr=0.1, kind=K.MAV, metric="over_time", **RING_30),
