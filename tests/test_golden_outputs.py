@@ -1,7 +1,9 @@
 """Golden outputs: sha256 of the files small CLI runs write, pinned byte for byte.
 
-The hashes were captured from the per-run stepping loop that preceded the
-batched ensemble kernel. Any change to the numbers a command produces, to
+The `run`, `mcs` and `compare` hashes were captured from the per-run
+stepping loop that preceded the batched ensemble kernel, and the `plot`
+hashes from the per-value CSV and per-segment SVG writers that preceded the
+array formatting. Any change to the numbers a command produces, to
 the order in which random numbers are drawn, or to how curves are reduced
 and aggregated shows here as a hash mismatch.
 """
@@ -74,6 +76,38 @@ def test_output_bytes_match_golden(case, tmp_path):
         for p in sorted(tmp_path.iterdir())
     }
     assert got == expected
+
+
+# `plot` of a result CSV that a command wrote: the replot SVG goes through
+# the CSV readers, so these pin the reading side as well as the rendering.
+# fig1 has a leader (vehicle 0); fig5 is a ring, replotted unwrapped.
+PLOT_GOLDEN = {
+    "plot-run-fig1": (
+        ["run", "--preset", "fig1", "--steps", "60", "--seed", "7"],
+        "fig1_seed7_trajectory.csv",
+        "b8552e5fbbf3e27a617e14bb63847e41481a14e7b295d6be6d9ad6f13077a208",
+    ),
+    "plot-run-fig5": (
+        ["run", "--preset", "fig5", "--steps", "60", "--seed", "7"],
+        "fig5_seed7_trajectory.csv",
+        "ca8463203eeee815a79efe11daa4616047b33239ffebdb5056b68a05cd17b983",
+    ),
+    "plot-mcs-fig3b": (
+        ["mcs", "--preset", "fig3b", "--runs", "7", "--steps", "60", "--seed", "3"],
+        "fig3b_MAV_mpr0.01_seed3_curve.csv",
+        "a7b80bb7492ed7dd4291966c9fb5ea176efaf8b7aad4fc671d6dd1ad0cde214f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLOT_GOLDEN))
+def test_plot_bytes_match_golden(case, tmp_path):
+    argv, csv_name, expected = PLOT_GOLDEN[case]
+    assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+    plot_dir = tmp_path / "plot"
+    assert main(["plot", str(tmp_path / csv_name), "--out", str(plot_dir),
+                 "--name", "replot.svg"]) == EXIT_OK
+    assert hashlib.sha256((plot_dir / "replot.svg").read_bytes()).hexdigest() == expected
 
 
 # Six noisy runs behind a slow leader. At master seed 16, run 0 collides at
