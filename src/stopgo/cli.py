@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -170,17 +170,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     csvio.write_speeds_csv(record, out / f"{stem}_speeds.csv")
 
     times = record.times
-    trajectories = {}
-    speeds = {}
+    positions, speeds = record.positions.T, record.speeds.T
     if record.leader_positions is not None:
-        trajectories[0] = record.leader_positions
-        speeds[0] = np.full_like(times, cfg.geometry.leader_speed)
-    for n in range(record.n_vehicles):
-        trajectories[n + 1] = record.positions[:, n]
-        speeds[n + 1] = record.speeds[:, n]
+        positions = np.vstack([record.leader_positions, positions])
+        speeds = np.vstack([np.full_like(times, cfg.geometry.leader_speed), speeds])
     ring_length = cfg.geometry.length if isinstance(cfg.geometry, Ring) else None
     svg.render_trajectories(
-        times, trajectories, speeds, cfg.params.u0,
+        times, positions, speeds, cfg.params.u0,
         out / f"{stem}_trajectory.svg",
         ring_length=ring_length,
         title=f"{cfg.name}: trajectories colored by speed",
@@ -236,18 +232,25 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         )
     elif header == csvio.TRAJECTORY_HEADER:
         rows = csvio.read_trajectory_csv(src)
-        by_vehicle: Dict[int, List] = {}
-        for r in rows:
-            by_vehicle.setdefault(r["vehicle"], []).append(r)
-        times = np.array(sorted({r["t"] for r in rows}))
-        trajectories = {
-            vid: np.array([r["position"] for r in rs]) for vid, rs in by_vehicle.items()
-        }
-        speeds = {
-            vid: np.array([r["speed"] for r in rs]) for vid, rs in by_vehicle.items()
-        }
+        times = np.unique(rows["t"])
+        vehicles, first, group = np.unique(
+            rows["vehicle"], return_index=True, return_inverse=True
+        )
+        by_first = np.argsort(first)  # vehicles in order of first appearance
+        rank = np.argsort(by_first)[group]  # each row's vehicle, in that order
+        counts = np.bincount(rank)
+        bad = np.flatnonzero(counts != times.size)
+        if bad.size:
+            raise csvio.CsvFormatError(
+                f"vehicle {vehicles[by_first[bad[0]]]} has {counts[bad[0]]} rows in {src} "
+                f"for {times.size} time stamps"
+            )
+        order = np.argsort(rank, kind="stable")
+        shape = (vehicles.size, times.size)
+        positions = rows["position"][order].reshape(shape)
+        speeds = rows["speed"][order].reshape(shape)
         u0 = args.u0 if args.u0 is not None else ModelParams().u0
-        svg.render_trajectories(times, trajectories, speeds, u0, dest, title=src.stem)
+        svg.render_trajectories(times, positions, speeds, u0, dest, title=src.stem)
     else:
         raise csvio.CsvFormatError(f"unrecognized CSV header {header}")
     print(f"wrote {dest}")

@@ -6,13 +6,13 @@ exactly and identical experiments produce byte-identical output.
 from __future__ import annotations
 
 import csv
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .ensemble import CompareRow, EnsembleCurve
 from .model import VehicleKind
-from .scenario import OpenRoad, RunRecord
+from .scenario import RunRecord
 
 LEADER_LABEL = "LEADER"
 
@@ -21,85 +21,94 @@ class CsvFormatError(ValueError):
     """Unexpected header or malformed row in a results file."""
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
 TRAJECTORY_HEADER = ["t", "vehicle", "kind", "position", "speed"]
 CURVE_HEADER = ["index", "mean_std", "stderr"]
 COMPARE_HEADER = ["kind", "mpr", "mean_std", "stderr", "reduction_pct"]
 
+# one line per row, in the text csv.writer wrote: '%.9g' % x == format(x, '.9g')
+TRAJECTORY_ROW = "%.9g,%d,%s,%.9g,%.9g\r\n"
+CURVE_ROW = "%d,%.9g,%.9g\r\n"
+COMPARE_ROW = "%s,%.9g,%.9g,%.9g,%.9g\r\n"
+
+# "U8" holds every kind label (6 characters at most); a longer label is cut
+# to 8 characters and so fails the reader's kind check
+TRAJECTORY_DTYPE = [
+    ("t", float), ("vehicle", int), ("kind", "U8"), ("position", float), ("speed", float),
+]
+_TRAJECTORY_KINDS = [k.value for k in VehicleKind] + [LEADER_LABEL]
+
+_BLOCK_ROWS = 8192  # rows formatted per write, so a large file never exists as one string
+
+
+def _write_rows(path, header: Sequence[str], template: str, columns: Sequence) -> None:
+    """Write a header and one `template % row` line per row of the equal-length columns."""
+    with open(path, "w", newline="") as f:
+        f.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [np.asarray(c[start:start + _BLOCK_ROWS]).tolist() for c in columns]
+            f.write("".join([template % row for row in zip(*block)]))
+
+
+def _vehicle_columns(record: RunRecord) -> Tuple[List[int], List[str], np.ndarray, np.ndarray]:
+    """Vehicle numbers, kind labels, and positions and speeds with one column
+    per vehicle; the open-road leader is vehicle 0 and comes first."""
+    numbers = list(range(1, record.n_vehicles + 1))
+    kinds = [k.value for k in record.kinds]
+    positions, speeds = record.positions, record.speeds
+    if record.leader_positions is not None:
+        numbers.insert(0, 0)
+        kinds.insert(0, LEADER_LABEL)
+        positions = np.column_stack([record.leader_positions, positions])
+        leader_speed = np.full_like(record.times, record.geometry.leader_speed)
+        speeds = np.column_stack([leader_speed, speeds])
+    return numbers, kinds, positions, speeds
+
 
 def write_trajectory_csv(record: RunRecord, path) -> None:
     """Long-format trajectory rows; the open-road leader is vehicle 0."""
-    times = record.times
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRAJECTORY_HEADER)
-        has_leader = record.leader_positions is not None
-        leader_speed = (
-            record.geometry.leader_speed
-            if isinstance(record.geometry, OpenRoad)
-            else 0.0
-        )
-        for i, t in enumerate(times):
-            if has_leader:
-                w.writerow(
-                    [fmt(t), 0, LEADER_LABEL, fmt(record.leader_positions[i]), fmt(leader_speed)]
-                )
-            for n in range(record.n_vehicles):
-                w.writerow(
-                    [
-                        fmt(t),
-                        n + 1,
-                        record.kinds[n].value,
-                        fmt(record.positions[i, n]),
-                        fmt(record.speeds[i, n]),
-                    ]
-                )
+    numbers, kinds, positions, speeds = _vehicle_columns(record)
+    n_times, width = positions.shape
+    columns = (
+        np.repeat(record.times, width),
+        np.tile(numbers, n_times),
+        np.tile(kinds, n_times),
+        positions.ravel(),
+        speeds.ravel(),
+    )
+    _write_rows(path, TRAJECTORY_HEADER, TRAJECTORY_ROW, columns)
 
 
-def read_trajectory_csv(path) -> List[Dict]:
-    rows = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
+def read_trajectory_csv(path) -> np.ndarray:
+    """Trajectory rows as a structured array whose fields are TRAJECTORY_HEADER."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
         if header != TRAJECTORY_HEADER:
             raise CsvFormatError(f"unexpected trajectory header {header}")
-        for row in r:
-            rows.append(
-                {
-                    "t": float(row[0]),
-                    "vehicle": int(row[1]),
-                    "kind": row[2],
-                    "position": float(row[3]),
-                    "speed": float(row[4]),
-                }
-            )
+        start = f.tell()
+        if not f.readline().strip():
+            raise CsvFormatError(f"trajectory file {path} has no row after its header")
+        f.seek(start)
+        try:
+            rows = np.loadtxt(f, delimiter=",", dtype=TRAJECTORY_DTYPE, ndmin=1)
+        except ValueError as exc:
+            raise CsvFormatError(f"malformed trajectory file {path}: {exc}") from None
+    for name in ("t", "position", "speed"):
+        if not np.isfinite(rows[name]).all():
+            raise CsvFormatError(f"trajectory file {path} has a non-finite {name}")
+    unknown = ~np.isin(rows["kind"], _TRAJECTORY_KINDS)
+    if unknown.any():
+        raise CsvFormatError(
+            f"trajectory file {path} has unknown kind {str(rows['kind'][unknown][0])!r}"
+        )
     return rows
 
 
 def write_speeds_csv(record: RunRecord, path) -> None:
     """Wide speed matrix: one column per vehicle, leader first when present."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        has_leader = record.leader_positions is not None
-        cols = ["t"]
-        if has_leader:
-            cols.append("v0")
-        cols += [f"v{n + 1}" for n in range(record.n_vehicles)]
-        w.writerow(cols)
-        leader_speed = (
-            record.geometry.leader_speed
-            if isinstance(record.geometry, OpenRoad)
-            else 0.0
-        )
-        for i, t in enumerate(record.times):
-            row = [fmt(t)]
-            if has_leader:
-                row.append(fmt(leader_speed))
-            row += [fmt(v) for v in record.speeds[i]]
-            w.writerow(row)
+    numbers, _, _, speeds = _vehicle_columns(record)
+    header = ["t"] + [f"v{n}" for n in numbers]
+    template = ",".join(["%.9g"] * len(header)) + "\r\n"
+    _write_rows(path, header, template, [record.times, *speeds.T])
 
 
 def curve_index(curve: EnsembleCurve) -> np.ndarray:
@@ -110,58 +119,53 @@ def curve_index(curve: EnsembleCurve) -> np.ndarray:
 
 
 def write_curve_csv(curve: EnsembleCurve, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CURVE_HEADER)
-        for i, m, s in zip(curve_index(curve), curve.mean, curve.stderr):
-            w.writerow([int(i), fmt(m), fmt(s)])
+    _write_rows(path, CURVE_HEADER, CURVE_ROW, (curve_index(curve), curve.mean, curve.stderr))
+
+
+def _read_rows(path, header: List[str], what: str) -> List[List[str]]:
+    """The rows after a header that must equal `header`, each with as many fields."""
+    with open(path, newline="") as f:
+        r = csv.reader(f)
+        got = next(r, None)
+        if got != header:
+            raise CsvFormatError(f"unexpected {what} header {got}")
+        rows = list(r)
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise CsvFormatError(
+                f"{what} file {path} line {line} has {len(row)} fields, "
+                f"expected {len(header)}"
+            )
+    return rows
 
 
 def read_curve_csv(path) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    idx, mean, stderr = [], [], []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != CURVE_HEADER:
-            raise CsvFormatError(f"unexpected curve header {header}")
-        for row in r:
-            idx.append(int(row[0]))
-            mean.append(float(row[1]))
-            stderr.append(float(row[2]))
-    return np.array(idx), np.array(mean), np.array(stderr)
+    rows = _read_rows(path, CURVE_HEADER, "curve")
+    idx = np.array([int(row[0]) for row in rows])
+    mean = np.array([float(row[1]) for row in rows])
+    stderr = np.array([float(row[2]) for row in rows])
+    return idx, mean, stderr
 
 
 def write_compare_csv(rows: Sequence[CompareRow], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(COMPARE_HEADER)
-        for row in rows:
-            w.writerow(
-                [
-                    row.kind.value,
-                    fmt(row.mpr),
-                    fmt(row.mean_final),
-                    fmt(row.stderr_final),
-                    fmt(row.reduction_vs_baseline),
-                ]
-            )
+    columns = (
+        [row.kind.value for row in rows],
+        [row.mpr for row in rows],
+        [row.mean_final for row in rows],
+        [row.stderr_final for row in rows],
+        [row.reduction_vs_baseline for row in rows],
+    )
+    _write_rows(path, COMPARE_HEADER, COMPARE_ROW, columns)
 
 
 def read_compare_csv(path) -> List[CompareRow]:
-    rows = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != COMPARE_HEADER:
-            raise CsvFormatError(f"unexpected compare header {header}")
-        for row in r:
-            rows.append(
-                CompareRow(
-                    kind=VehicleKind(row[0]),
-                    mpr=float(row[1]),
-                    mean_final=float(row[2]),
-                    stderr_final=float(row[3]),
-                    reduction_vs_baseline=float(row[4]),
-                )
-            )
-    return rows
+    return [
+        CompareRow(
+            kind=VehicleKind(row[0]),
+            mpr=float(row[1]),
+            mean_final=float(row[2]),
+            stderr_final=float(row[3]),
+            reduction_vs_baseline=float(row[4]),
+        )
+        for row in _read_rows(path, COMPARE_HEADER, "compare")
+    ]

@@ -14,17 +14,24 @@ HEIGHT = 600
 MARGIN = 60
 
 # dark blue -> teal -> yellow anchors, perceptually ordered with speed
-_COLOR_STOPS = [(68, 1, 84), (33, 145, 140), (253, 231, 37)]
+_COLOR_STOPS = np.array([(68, 1, 84), (33, 145, 140), (253, 231, 37)], dtype=float)
 
 
-def speed_color(v: float, u0: float) -> str:
-    """Linear map [0, u0] -> hex gradient color."""
-    x = min(max(v / u0, 0.0), 1.0) * (len(_COLOR_STOPS) - 1)
-    i = min(int(x), len(_COLOR_STOPS) - 2)
-    f = x - i
+def speed_color(v: np.ndarray, u0: float) -> np.ndarray:
+    """Linear map [0, u0] -> gradient color: one (r, g, b) integer row per speed."""
+    x = np.clip(v / u0, 0.0, 1.0) * (len(_COLOR_STOPS) - 1)
+    i = np.minimum(x.astype(np.intp), len(_COLOR_STOPS) - 2)
+    f = (x - i)[:, None]
     c0, c1 = _COLOR_STOPS[i], _COLOR_STOPS[i + 1]
-    rgb = [round(a + (b - a) * f) for a, b in zip(c0, c1)]
-    return "#{:02x}{:02x}{:02x}".format(*rgb)
+    # np.rint rounds half to even, as Python's round() did for one color
+    return np.rint(c0 + (c1 - c0) * f).astype(np.intp)
+
+
+_BLOCK_SEGMENTS = 8192  # segments formatted into one part at a time
+_SEGMENT = (
+    '<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" '
+    'stroke="#%02x%02x%02x" stroke-width="1.2"/>'
+)
 
 
 class _Canvas:
@@ -43,10 +50,10 @@ class _Canvas:
             self.y1 = self.y0 + 1.0
         self._axes(title, xlabel, ylabel)
 
-    def px(self, x: float) -> float:
+    def px(self, x):
         return MARGIN + (x - self.x0) / (self.x1 - self.x0) * (WIDTH - 2 * MARGIN)
 
-    def py(self, y: float) -> float:
+    def py(self, y):
         return HEIGHT - MARGIN - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - 2 * MARGIN)
 
     def _axes(self, title, xlabel, ylabel):
@@ -86,12 +93,13 @@ class _Canvas:
             f'<polyline{attr} points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"/>'
         )
 
-    def segment(self, x1, y1, x2, y2, color: str, width: float = 1.2) -> None:
-        self.parts.append(
-            f'<line x1="{self.px(x1):.2f}" y1="{self.py(y1):.2f}" '
-            f'x2="{self.px(x2):.2f}" y2="{self.py(y2):.2f}" '
-            f'stroke="{color}" stroke-width="{width}"/>'
-        )
+    def segments(self, x1: np.ndarray, y1: np.ndarray, x2: np.ndarray, y2: np.ndarray,
+                 rgb: np.ndarray) -> None:
+        """One line per segment (x1, y1) -> (x2, y2), colored by the matching rgb row."""
+        cols = (self.px(x1), self.py(y1), self.px(x2), self.py(y2), *rgb.T)
+        for start in range(0, len(x1), _BLOCK_SEGMENTS):
+            block = [c[start:start + _BLOCK_SEGMENTS].tolist() for c in cols]
+            self.parts.append("\n".join([_SEGMENT % row for row in zip(*block)]))
 
     def legend(self, entries: Sequence[Tuple[str, str]]) -> None:
         for i, (label, color) in enumerate(entries):
@@ -107,13 +115,16 @@ class _Canvas:
     def save(self, path) -> None:
         self.parts.append("</svg>")
         with open(path, "w") as f:
-            f.write("\n".join(self.parts))
+            f.write(self.parts[0])
+            for part in self.parts[1:]:  # not joined first: a part can hold many segments
+                f.write("\n")
+                f.write(part)
 
 
 def render_trajectories(
     times: np.ndarray,
-    trajectories: Dict[int, np.ndarray],
-    speeds: Dict[int, np.ndarray],
+    positions: np.ndarray,
+    speeds: np.ndarray,
     u0: float,
     path,
     ring_length: Optional[float] = None,
@@ -121,25 +132,24 @@ def render_trajectories(
 ) -> None:
     """Time-space diagram with per-segment color encoding speed.
 
-    trajectories maps vehicle id -> position series; on a ring the positions
-    are wrapped and segments crossing the wrap are skipped.
+    positions and speeds hold one row per vehicle and one column per entry of
+    times; vehicles are drawn in row order. On a ring the positions are
+    wrapped and segments crossing the wrap are skipped.
     """
-    all_pos = np.concatenate(list(trajectories.values()))
     if ring_length is not None:
         ylim = (0.0, ring_length)
+        y = np.mod(positions, ring_length)
+        keep = y[:, 1:] >= y[:, :-1]  # drop the segments that cross the wrap
     else:
-        ylim = (float(all_pos.min()), float(all_pos.max()))
+        ylim = (float(positions.min()), float(positions.max()))
+        y = positions
+        keep = np.ones((y.shape[0], y.shape[1] - 1), dtype=bool)
     canvas = _Canvas(title, "time [s]", "position [m]", (float(times[0]), float(times[-1])), ylim)
-    for vid, pos in trajectories.items():
-        v = speeds[vid]
-        y = np.mod(pos, ring_length) if ring_length is not None else pos
-        for i in range(len(times) - 1):
-            if ring_length is not None and y[i + 1] < y[i]:
-                continue  # wrap-around
-            canvas.segment(
-                times[i], y[i], times[i + 1], y[i + 1],
-                speed_color(0.5 * (v[i] + v[i + 1]), u0),
-            )
+    t = np.broadcast_to(times, y.shape)
+    canvas.segments(
+        t[:, :-1][keep], y[:, :-1][keep], t[:, 1:][keep], y[:, 1:][keep],
+        speed_color(0.5 * (speeds[:, :-1] + speeds[:, 1:])[keep], u0),
+    )
     canvas.save(path)
 
 

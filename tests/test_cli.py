@@ -23,9 +23,9 @@ def test_run_fig1_outputs(tmp_path):
     assert rc == EXIT_OK
     traj = tmp_path / "fig1_seed7_trajectory.csv"
     rows = csvio.read_trajectory_csv(traj)
-    vehicles = {r["vehicle"] for r in rows}
-    assert vehicles == set(range(101))  # leader + 100 followers
-    assert {r["kind"] for r in rows if r["vehicle"] == 0} == {"LEADER"}
+    assert set(rows["vehicle"].tolist()) == set(range(101))  # leader + 100 followers
+    assert set(rows["kind"][rows["vehicle"] == 0].tolist()) == {"LEADER"}
+    assert len(rows) == 31 * 101
     svg_text = (tmp_path / "fig1_seed7_trajectory.svg").read_text()
     assert svg_text.startswith("<svg")
     assert (tmp_path / "fig1_seed7_speeds.csv").exists()
@@ -211,3 +211,27 @@ def test_collision_in_pool_worker_exit_code(tmp_path, capsys):
                "--seed", "2", "--out", str(tmp_path)])
     assert rc == EXIT_COLLISION
     assert capsys.readouterr().err.startswith("error: collision at t=")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("index,mean_std,stderr\r\n0,1.0\r\n",
+     "line 2 has 2 fields, expected 3"),
+    ("t,vehicle,kind,position,speed\r\n"
+     "0,1,HV,10,5\r\n0,2,HV,0,5\r\n1.5,1,HV,17.5,5\r\n",
+     "vehicle 2 has 1 rows in"),
+    ("t,vehicle,kind,position,speed\r\n",
+     "has no row after its header"),
+    ("t,vehicle,kind,position,speed\r\n0,1,HV,nan,5\r\n",
+     "has a non-finite position"),
+    ("t,vehicle,kind,position,speed\r\n0,1,TRUCK,10,5\r\n",
+     "has unknown kind 'TRUCK'"),
+], ids=["curve-row-short", "vehicle-rows-short", "header-only", "nan-position", "unknown-kind"])
+def test_plot_malformed_csv_exit_code(tmp_path, capsys, body, message):
+    src = tmp_path / "bad.csv"
+    src.write_text(body, newline="")
+    rc = main(["plot", str(src), "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "bad.svg").exists()
+
