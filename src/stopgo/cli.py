@@ -47,7 +47,7 @@ def _required_float(section: configparser.SectionProxy, key: str, geometry: str)
 
 def _load_config_file(path: str, base: ExperimentConfig) -> ExperimentConfig:
     """Overlay an INI config file onto a base experiment."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise ConfigFileError(f"config file {path!r} not found or unreadable")
@@ -63,7 +63,7 @@ def _load_config_file(path: str, base: ExperimentConfig) -> ExperimentConfig:
             ))
         if parser.has_section("scenario"):
             s = parser["scenario"]
-            geometry = cfg.geometry
+            geometry, initial_spacing = cfg.geometry, cfg.initial_spacing
             if s.get("geometry", None):
                 g = s["geometry"].strip().lower()
                 if g == "ring":
@@ -72,6 +72,7 @@ def _load_config_file(path: str, base: ExperimentConfig) -> ExperimentConfig:
                     geometry = OpenRoad(leader_speed=_required_float(s, "leader_speed", g))
                 else:
                     raise ConfigFileError(f"geometry must be 'open' or 'ring', got {g!r}")
+                initial_spacing = None  # the base preset's spacing fits its own geometry
             elif isinstance(geometry, Ring) and "length" in s:
                 geometry = Ring(length=s.getfloat("length"))
             elif isinstance(geometry, OpenRoad) and "leader_speed" in s:
@@ -82,7 +83,7 @@ def _load_config_file(path: str, base: ExperimentConfig) -> ExperimentConfig:
                 n_vehicles=s.getint("n_vehicles", cfg.n_vehicles),
                 initial_spacing=(
                     s.getfloat("initial_spacing")
-                    if "initial_spacing" in s else cfg.initial_spacing
+                    if "initial_spacing" in s else initial_spacing
                 ),
                 n_steps=s.getint("n_steps", cfg.n_steps),
             )

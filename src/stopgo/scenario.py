@@ -144,6 +144,8 @@ def _resolve_spacing(geometry: Geometry, fleet: FleetConfig, params: ModelParams
     n = fleet.n_vehicles
     if n < 1:
         raise ConfigurationError("fleet must contain at least one vehicle")
+    if fleet.initial_spacing is not None and not np.isfinite(fleet.initial_spacing):
+        raise ConfigurationError(f"initial_spacing must be finite, got {fleet.initial_spacing}")
     if isinstance(geometry, Ring):
         if geometry.length <= n * params.s_j:
             raise ConfigurationError(

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -235,3 +238,28 @@ def test_plot_malformed_csv_exit_code(tmp_path, capsys, body, message):
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "bad.svg").exists()
 
+
+def test_non_finite_initial_spacing_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(
+        "[scenario]\ngeometry = open\nleader_speed = 10\nn_vehicles = 20\n"
+        "initial_spacing = nan\nn_steps = 40\n"
+        "[ensemble]\nwindow_start = 0\nwindow_end = 60\n"
+    )
+    rc = main(["mcs", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == EXIT_BAD_CONFIG
+    assert capsys.readouterr().err == "error: initial_spacing must be finite, got nan\n"
+    assert list(tmp_path.glob("*_curve.csv")) == []
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    ini = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(ini)
+    rc = main(["mcs", "--config", str(cfg), "--runs", "2", "--steps", "20",
+               "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    idx, mean, _ = csvio.read_curve_csv(tmp_path / "custom_FCAV_mpr0.02_seed1_curve.csv")
+    assert idx.tolist() == list(range(21))  # over_time: one row per step
+    assert np.isfinite(mean).all()
