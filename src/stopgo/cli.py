@@ -258,6 +258,14 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _speed(text: str) -> float:
+    """A positive, finite speed [m/s]."""
+    u0 = float(text)
+    if not (np.isfinite(u0) and u0 > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite speed, got {text}")
+    return u0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stopgo",
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("input", help="CSV produced by run/mcs/compare")
     p_plot.add_argument("--out", help="output directory")
     p_plot.add_argument("--name", help="output file name")
-    p_plot.add_argument("--u0", type=float, help="free-flow speed for the colormap")
+    p_plot.add_argument("--u0", type=_speed, help="free-flow speed for the colormap")
     p_plot.set_defaults(func=_cmd_plot)
     return parser
 

@@ -263,3 +263,15 @@ def test_readme_config_example_runs(tmp_path):
     idx, mean, _ = csvio.read_curve_csv(tmp_path / "custom_FCAV_mpr0.02_seed1_curve.csv")
     assert idx.tolist() == list(range(21))  # over_time: one row per step
     assert np.isfinite(mean).all()
+
+
+@pytest.mark.parametrize("u0", ["0", "-5", "nan", "inf"])
+def test_plot_u0_must_be_positive_and_finite(tmp_path, capsys, u0):
+    assert main(["run", "--preset", "fig5", "--steps", "5", "--seed", "1",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["plot", str(tmp_path / "fig5_seed1_trajectory.csv"), f"--u0={u0}",
+              "--out", str(tmp_path), "--name", "replot.svg"])
+    assert exc.value.code == 2
+    assert "--u0: must be a positive finite speed" in capsys.readouterr().err
+    assert not (tmp_path / "replot.svg").exists()
