@@ -170,14 +170,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     csvio.write_trajectory_csv(record, out / f"{stem}_trajectory.csv")
     csvio.write_speeds_csv(record, out / f"{stem}_speeds.csv")
 
-    times = record.times
-    positions, speeds = record.positions.T, record.speeds.T
-    if record.leader_positions is not None:
-        positions = np.vstack([record.leader_positions, positions])
-        speeds = np.vstack([np.full_like(times, cfg.geometry.leader_speed), speeds])
+    _, _, positions, speeds = csvio.vehicle_columns(record)
     ring_length = cfg.geometry.length if isinstance(cfg.geometry, Ring) else None
     svg.render_trajectories(
-        times, positions, speeds, cfg.params.u0,
+        record.times, positions.T, speeds.T, cfg.params.u0,
         out / f"{stem}_trajectory.svg",
         ring_length=ring_length,
         title=f"{cfg.name}: trajectories colored by speed",
@@ -227,6 +223,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     dest = out / (args.name or src.with_suffix(".svg").name)
     if header == csvio.CURVE_HEADER:
         idx, mean, stderr = csvio.read_curve_csv(src)
+        if not idx.size:
+            raise csvio.CsvFormatError(f"curve file {src} has no row to plot")
         svg.render_curves(
             idx, {"mean": mean, "mean+2se": mean + 2 * stderr},
             dest, "index", "speed std [m/s]", title=src.stem,

@@ -25,10 +25,10 @@ TRAJECTORY_HEADER = ["t", "vehicle", "kind", "position", "speed"]
 CURVE_HEADER = ["index", "mean_std", "stderr"]
 COMPARE_HEADER = ["kind", "mpr", "mean_std", "stderr", "reduction_pct"]
 
-# one line per row, in the text csv.writer wrote: '%.9g' % x == format(x, '.9g')
-TRAJECTORY_ROW = "%.9g,%d,%s,%.9g,%.9g\r\n"
-CURVE_ROW = "%d,%.9g,%.9g\r\n"
-COMPARE_ROW = "%s,%.9g,%.9g,%.9g,%.9g\r\n"
+# one line per row; '%.9g' % x is format(x, '.9g'), and csv.writer ended lines in \r\n
+_TRAJECTORY_ROW = "%.9g,%d,%s,%.9g,%.9g\r\n"
+_CURVE_ROW = "%d,%.9g,%.9g\r\n"
+_COMPARE_ROW = "%s,%.9g,%.9g,%.9g,%.9g\r\n"
 
 # "U8" holds every kind label (6 characters at most); a longer label is cut
 # to 8 characters and so fails the reader's kind check
@@ -49,7 +49,7 @@ def _write_rows(path, header: Sequence[str], template: str, columns: Sequence) -
             f.write("".join([template % row for row in zip(*block)]))
 
 
-def _vehicle_columns(record: RunRecord) -> Tuple[List[int], List[str], np.ndarray, np.ndarray]:
+def vehicle_columns(record: RunRecord) -> Tuple[List[int], List[str], np.ndarray, np.ndarray]:
     """Vehicle numbers, kind labels, and positions and speeds with one column
     per vehicle; the open-road leader is vehicle 0 and comes first."""
     numbers = list(range(1, record.n_vehicles + 1))
@@ -66,7 +66,7 @@ def _vehicle_columns(record: RunRecord) -> Tuple[List[int], List[str], np.ndarra
 
 def write_trajectory_csv(record: RunRecord, path) -> None:
     """Long-format trajectory rows; the open-road leader is vehicle 0."""
-    numbers, kinds, positions, speeds = _vehicle_columns(record)
+    numbers, kinds, positions, speeds = vehicle_columns(record)
     n_times, width = positions.shape
     columns = (
         np.repeat(record.times, width),
@@ -75,7 +75,7 @@ def write_trajectory_csv(record: RunRecord, path) -> None:
         positions.ravel(),
         speeds.ravel(),
     )
-    _write_rows(path, TRAJECTORY_HEADER, TRAJECTORY_ROW, columns)
+    _write_rows(path, TRAJECTORY_HEADER, _TRAJECTORY_ROW, columns)
 
 
 def read_trajectory_csv(path) -> np.ndarray:
@@ -105,7 +105,7 @@ def read_trajectory_csv(path) -> np.ndarray:
 
 def write_speeds_csv(record: RunRecord, path) -> None:
     """Wide speed matrix: one column per vehicle, leader first when present."""
-    numbers, _, _, speeds = _vehicle_columns(record)
+    numbers, _, _, speeds = vehicle_columns(record)
     header = ["t"] + [f"v{n}" for n in numbers]
     template = ",".join(["%.9g"] * len(header)) + "\r\n"
     _write_rows(path, header, template, [record.times, *speeds.T])
@@ -119,7 +119,7 @@ def curve_index(curve: EnsembleCurve) -> np.ndarray:
 
 
 def write_curve_csv(curve: EnsembleCurve, path) -> None:
-    _write_rows(path, CURVE_HEADER, CURVE_ROW, (curve_index(curve), curve.mean, curve.stderr))
+    _write_rows(path, CURVE_HEADER, _CURVE_ROW, (curve_index(curve), curve.mean, curve.stderr))
 
 
 def _read_rows(path, header: List[str], what: str) -> List[List[str]]:
@@ -155,7 +155,7 @@ def write_compare_csv(rows: Sequence[CompareRow], path) -> None:
         [row.stderr_final for row in rows],
         [row.reduction_vs_baseline for row in rows],
     )
-    _write_rows(path, COMPARE_HEADER, COMPARE_ROW, columns)
+    _write_rows(path, COMPARE_HEADER, _COMPARE_ROW, columns)
 
 
 def read_compare_csv(path) -> List[CompareRow]:

@@ -222,13 +222,15 @@ def test_collision_in_pool_worker_exit_code(tmp_path, capsys):
     ("t,vehicle,kind,position,speed\r\n"
      "0,1,HV,10,5\r\n0,2,HV,0,5\r\n1.5,1,HV,17.5,5\r\n",
      "vehicle 2 has 1 rows in"),
+    ("index,mean_std,stderr\r\n",
+     "has no row to plot"),
     ("t,vehicle,kind,position,speed\r\n",
      "has no row after its header"),
     ("t,vehicle,kind,position,speed\r\n0,1,HV,nan,5\r\n",
      "has a non-finite position"),
     ("t,vehicle,kind,position,speed\r\n0,1,TRUCK,10,5\r\n",
      "has unknown kind 'TRUCK'"),
-], ids=["curve-row-short", "vehicle-rows-short", "header-only", "nan-position", "unknown-kind"])
+], ids=["curve-row-short", "vehicle-rows-short", "curve-header-only", "header-only", "nan-position", "unknown-kind"])
 def test_plot_malformed_csv_exit_code(tmp_path, capsys, body, message):
     src = tmp_path / "bad.csv"
     src.write_text(body, newline="")
