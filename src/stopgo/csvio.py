@@ -25,7 +25,7 @@ TRAJECTORY_HEADER = ["t", "vehicle", "kind", "position", "speed"]
 CURVE_HEADER = ["index", "mean_std", "stderr"]
 COMPARE_HEADER = ["kind", "mpr", "mean_std", "stderr", "reduction_pct"]
 
-# one line per row; '%.9g' % x is format(x, '.9g'), and csv.writer ended lines in \r\n
+# one line per row, ending in \r\n as csv.writer's rows do; '%.9g' % x == format(x, '.9g')
 _TRAJECTORY_ROW = "%.9g,%d,%s,%.9g,%.9g\r\n"
 _CURVE_ROW = "%d,%.9g,%.9g\r\n"
 _COMPARE_ROW = "%s,%.9g,%.9g,%.9g,%.9g\r\n"

@@ -23,7 +23,7 @@ def speed_color(v: np.ndarray, u0: float) -> np.ndarray:
     i = np.minimum(x.astype(np.intp), len(_COLOR_STOPS) - 2)
     f = (x - i)[:, None]
     c0, c1 = _COLOR_STOPS[i], _COLOR_STOPS[i + 1]
-    # np.rint rounds half to even, as Python's round() did for one color
+    # np.rint rounds half to even, as Python's round() does
     return np.rint(c0 + (c1 - c0) * f).astype(np.intp)
 
 
